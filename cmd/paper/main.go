@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paper [-scale tiny|bench|paper|paper1gb] [-exp all|table1|fig5|fig6|fig7|fig8|table2|attacks]
+//	paper [-scale tiny|bench|paper|paper1gb] [-exp all|table1|fig5|fig6|fig7|fig8|table2|wolfram|softwear|attacks]
 //	      [-seed N] [-workers N] [-shards N] [-shard-grid N] [-budget F]
 //	      [-cpuprofile f] [-memprofile f] [-benchjson f]
 //	      [-csv dir] [-metrics f] [-progress] [-timing=false]
@@ -11,14 +11,16 @@
 //	paper -benchdiff old.json new.json
 //
 // The experiment set is wlreviver.Experiments(); -exp selects one entry
-// by name (or "all"). Output is the textual form of each table/figure;
-// EXPERIMENTS.md records a reference run against the paper's reported
-// results. Experiments fan their independent engines out over -workers
-// goroutines (default: all CPUs); results are identical for any worker
-// count. -metrics attaches a wlreviver.Metrics observer to every engine
-// and writes the collected event counters and snapshot series as JSON
-// (schema in EXPERIMENTS.md); -progress streams snapshot lines to stderr.
-// Neither changes the simulated results or stdout.
+// by name (or "all"). Its usage text lists ExperimentNames(), and a test
+// keeps the list above in step. Output is the textual form of each
+// table/figure; EXPERIMENTS.md records a reference run against the
+// paper's reported results. Experiments fan their independent engines
+// out over -workers goroutines (default: all CPUs); results are
+// identical for any worker count. -metrics attaches a wlreviver.Metrics
+// observer to every engine and writes the collected event counters and
+// snapshot series as JSON (schema in EXPERIMENTS.md); -progress streams
+// snapshot lines to stderr. Neither changes the simulated results or
+// stdout.
 //
 // When the scale carries a shard grid (paper1gb does; -shard-grid sets
 // one anywhere), each engine's chip is partitioned into that many
@@ -70,7 +72,7 @@ func main() {
 
 func run() error {
 	scaleName := flag.String("scale", "bench", "experiment scale: tiny, bench, paper or paper1gb")
-	exp := flag.String("exp", "all", "experiment: all, table1, fig5, fig6, fig7, fig8, table2 or attacks")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(append([]string{"all"}, wlreviver.ExperimentNames()...), ", "))
 	seed := flag.Uint64("seed", 0, "override the scale's RNG seed (0 keeps the default)")
 	workers := flag.Int("workers", runtime.NumCPU(), "engine fan-out per experiment; 1 runs serially")
 	shards := flag.Int("shards", 0, "per-engine shard execution pool width (0: all CPUs); output-invariant")

@@ -8,7 +8,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"wlreviver"
 )
 
 // paperBin is the CLI under test, built once by TestMain so the
@@ -49,23 +52,72 @@ func paper(t *testing.T, args ...string) (stdout string, exitCode int) {
 	return string(out), 0
 }
 
-// goldenTable1SHA pins the byte-exact stdout of the tiny Table I run.
-// The simulator guarantees this output is a pure function of (scale,
-// seed): any commit that shifts it must either fix a correctness bug or
-// consciously re-pin the hash (and explain the result change in the
-// commit). Regenerate with:
+// goldenOutputs pins, per registered experiment, the SHA-256 of the
+// byte-exact tiny-scale stdout and of its -metrics JSON. The simulator
+// guarantees both are pure functions of (scale, seed): any commit that
+// shifts one must either fix a correctness bug or consciously re-pin the
+// hash (and explain the result change in the commit). Regenerate a row
+// with:
 //
-//	go run ./cmd/paper -scale tiny -exp table1 -workers 1 -timing=false | sha256sum
-const goldenTable1SHA = "0ef1ea466b8933621b57ef1f20998593322c0106c8696587e602a06efa5131c1"
+//	go run ./cmd/paper -scale tiny -exp NAME -workers 1 -timing=false -metrics m.json | sha256sum
+//	sha256sum m.json
+var goldenOutputs = map[string]struct{ stdout, metrics string }{
+	"table1":   {"0ef1ea466b8933621b57ef1f20998593322c0106c8696587e602a06efa5131c1", "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356"},
+	"fig5":     {"bef06fcedd66d63fc77900a6a7cffd8fed23821b95762ab58569418a7c118df1", "d0d28add6a45438535d5ab37419b4beb4b93858a7cd1c775316310783b41866a"},
+	"fig6":     {"dd6c22e7820fc46675cd9012f3ed8cd99f4349967d77e51c8b520df2eaf1bdf2", "2579cea85338be9f9833fe58b986b7cff57e31340f31c76edb16489ade7fa392"},
+	"fig7":     {"1070d0f78ee72d4f634acbc6388523945d0b0a2197e6110299cfa68ce0e4ddd9", "975ca22406d4131cee1528afcdb29c6d69bd3f84700aa0af5e8ed24c0e07468b"},
+	"fig8":     {"3b3b9d74f3e41e481eef0dad0f0e6e1a86a3094541be2bfaa34b6ae554e43f66", "e1474bc51b4734de2245d95bc4b19975143c187d916eeab3256c9c49e277a399"},
+	"table2":   {"86bae48d495b0087e689a216146d01e1faf6902732269177bc1d8e50e39d0511", "77475c45cd9fbf330c33ef10d88b0b4e371f6c875a2a5b666bfd0d42e339a9db"},
+	"wolfram":  {"e19338e9db2ba544ba1b8beafdcaaf7aaf8fd3cf7b4a06acdd44139b7a97094a", "5aeeb30ea3233e0c0d98c6450e93e43ab3b26088d1c41c18526dd60a606cea86"},
+	"softwear": {"7d6d7debd594429720806f7fe65f487ab672108edf0b8bd162070b9e793e680b", "9c2ce8cfc24366e482e4830c19171a3514ddcd0117d3cfc7b997750a75b18899"},
+	"attacks":  {"12903ae92635056786bfb0ab848fabd0b74c484507380163e07c7690fc769b3b", "f088d7430c0660e6a1983b22781fcaa23807429f8868c758901e40ccc605ed69"},
+}
 
-func TestGoldenTable1Stdout(t *testing.T) {
-	out, code := paper(t, "-scale", "tiny", "-exp", "table1", "-workers", "1", "-timing=false")
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenOutputs is the behaviour contract: every registered
+// experiment's tiny stdout and -metrics JSON must match its pinned hash,
+// and a newly registered experiment fails here until it is pinned.
+func TestGoldenOutputs(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range wlreviver.ExperimentNames() {
+		t.Run(name, func(t *testing.T) {
+			want, ok := goldenOutputs[name]
+			if !ok {
+				t.Fatalf("experiment %q has no pinned golden hashes", name)
+			}
+			metrics := filepath.Join(dir, name+".json")
+			out, code := paper(t, "-scale", "tiny", "-exp", name, "-workers", "1", "-timing=false", "-metrics", metrics)
+			if code != 0 {
+				t.Fatalf("exit code %d", code)
+			}
+			if got := sha256Hex([]byte(out)); got != want.stdout {
+				t.Errorf("tiny %s stdout hash changed:\n got %s\nwant %s\noutput:\n%s", name, got, want.stdout, out)
+			}
+			data, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256Hex(data); got != want.metrics {
+				t.Errorf("tiny %s -metrics JSON hash changed:\n got %s\nwant %s", name, got, want.metrics)
+			}
+		})
 	}
-	sum := sha256.Sum256([]byte(out))
-	if got := hex.EncodeToString(sum[:]); got != goldenTable1SHA {
-		t.Errorf("tiny table1 stdout hash changed:\n got %s\nwant %s\noutput:\n%s", got, goldenTable1SHA, out)
+}
+
+// TestUsageListsExperiments keeps the package doc's -exp list in step
+// with the experiment registry (the -usage text is built from it).
+func TestUsageListsExperiments(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[-exp " + strings.Join(append([]string{"all"}, wlreviver.ExperimentNames()...), "|") + "]"
+	if !strings.Contains(string(src), want) {
+		t.Errorf("package doc does not list the registered experiments as %s", want)
 	}
 }
 

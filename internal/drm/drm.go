@@ -109,6 +109,11 @@ func (d *DRM) Name() string {
 // Stats returns a copy of the counters.
 func (d *DRM) Stats() Stats { return d.st }
 
+// RequestCounts implements mc.RequestStats.
+func (d *DRM) RequestCounts() (requests, accesses uint64) {
+	return d.st.SoftwareWrites + d.st.SoftwareReads, d.st.RequestAccesses
+}
+
 // FreeFrames returns the number of unpaired partner frames.
 func (d *DRM) FreeFrames() int { return len(d.freeFrames) }
 
@@ -289,6 +294,7 @@ func (d *DRM) SoftwareUsableFraction() float64 {
 
 var (
 	_ mc.Protector     = (*DRM)(nil)
+	_ mc.RequestStats  = (*DRM)(nil)
 	_ mc.Crippler      = (*DRM)(nil)
 	_ mc.SpaceReporter = (*DRM)(nil)
 )

@@ -124,6 +124,11 @@ func (f *FREEp) Name() string {
 // Stats returns a copy of the counters.
 func (f *FREEp) Stats() Stats { return f.st }
 
+// RequestCounts implements mc.RequestStats.
+func (f *FREEp) RequestCounts() (requests, accesses uint64) {
+	return f.st.SoftwareWrites + f.st.SoftwareReads, f.st.RequestAccesses
+}
+
 // FreeSlots returns the number of unallocated remap slots.
 func (f *FREEp) FreeSlots() int { return len(f.slots) }
 
@@ -309,6 +314,7 @@ func (f *FREEp) SoftwareUsableFraction() float64 {
 
 var (
 	_ mc.Protector     = (*FREEp)(nil)
+	_ mc.RequestStats  = (*FREEp)(nil)
 	_ mc.Crippler      = (*FREEp)(nil)
 	_ mc.SpaceReporter = (*FREEp)(nil)
 )

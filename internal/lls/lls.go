@@ -174,6 +174,11 @@ func (l *LLS) Name() string { return "LLS" }
 // Stats returns a copy of the counters.
 func (l *LLS) Stats() Stats { return l.st }
 
+// RequestCounts implements mc.RequestStats.
+func (l *LLS) RequestCounts() (requests, accesses uint64) {
+	return l.st.SoftwareWrites + l.st.SoftwareReads, l.st.RequestAccesses
+}
+
 // Crippled implements mc.Crippler.
 func (l *LLS) Crippled() bool { return l.st.Exposed }
 
@@ -420,6 +425,7 @@ func (l *LLS) SoftwareUsableFraction() float64 {
 
 var (
 	_ mc.Protector     = (*LLS)(nil)
+	_ mc.RequestStats  = (*LLS)(nil)
 	_ mc.Crippler      = (*LLS)(nil)
 	_ mc.SpaceReporter = (*LLS)(nil)
 )

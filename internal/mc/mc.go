@@ -130,3 +130,10 @@ type SpaceReporter interface {
 type Crippler interface {
 	Crippled() bool
 }
+
+// RequestStats is implemented by protectors that count software requests
+// and the raw PCM accesses spent servicing them (Table II's access-time
+// metric is accesses per request).
+type RequestStats interface {
+	RequestCounts() (requests, accesses uint64)
+}

@@ -11,5 +11,6 @@ type pcmBlockID = pcm.BlockID
 // Interface compliance with the memory-controller plumbing.
 var (
 	_ mc.Protector     = (*Reviver)(nil)
+	_ mc.RequestStats  = (*Reviver)(nil)
 	_ mc.SpaceReporter = (*Reviver)(nil)
 )

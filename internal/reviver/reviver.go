@@ -221,6 +221,11 @@ func (r *Reviver) Name() string { return "WL-Reviver" }
 // Stats returns a copy of the activity counters.
 func (r *Reviver) Stats() Stats { return r.st }
 
+// RequestCounts implements mc.RequestStats.
+func (r *Reviver) RequestCounts() (requests, accesses uint64) {
+	return r.st.SoftwareWrites + r.st.SoftwareReads, r.st.RequestAccesses
+}
+
 // AvailableSpares returns the number of unlinked reserved PAs.
 func (r *Reviver) AvailableSpares() int { return r.spares }
 

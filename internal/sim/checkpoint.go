@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"wlreviver/internal/ckpt"
+	"wlreviver/internal/wear"
 )
 
 // ErrCrashed is returned by checkpoint-aware runners when an injected
@@ -108,12 +109,10 @@ func (e *Engine) encodeState(enc *ckpt.Encoder) error {
 
 	// The Static leveler is stateless; its section is intentionally empty.
 	enc.Begin("leveler")
-	if !e.noteSkip {
-		ls, ok := e.lv.(ckptSaver)
-		if !ok {
-			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
-		}
+	if ls, ok := e.lv.(ckptSaver); ok {
 		ls.SaveState(enc)
+	} else if _, static := e.lv.(wear.Static); !static {
+		return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
 	}
 	enc.End()
 
@@ -217,14 +216,12 @@ func (e *Engine) decodeState(d *ckpt.Decoder) error {
 	if err := d.Section("leveler"); err != nil {
 		return err
 	}
-	if !e.noteSkip {
-		ll, ok := e.lv.(ckptLoader)
-		if !ok {
-			return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
-		}
+	if ll, ok := e.lv.(ckptLoader); ok {
 		if err := ll.LoadState(d); err != nil {
 			return err
 		}
+	} else if _, static := e.lv.(wear.Static); !static {
+		return fmt.Errorf("sim: leveler %q does not support checkpointing", e.lv.Name())
 	}
 
 	if err := d.Section("os"); err != nil {

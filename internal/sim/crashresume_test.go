@@ -383,7 +383,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 
 // TestCrashResumeEquivalenceNewLevelers runs the same sweep-level
 // differential over the wolfram and softwear protection ladders: crash
-// the 4-arm FigLeveler sweep at swept points, resume, and require the
+// the 4-arm ladder sweep at swept points, resume, and require the
 // formatted output plus the collected metrics JSON (which carries the
 // decoder-remap / page-relocation counters through the checkpoint) to
 // match the uninterrupted run byte for byte — at workers 1 and 4.
@@ -395,17 +395,14 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 		Blocks: 1 << 9, BlocksPerPage: 8, MeanEndurance: 120,
 		GapWritePeriod: 10, Seed: 7, MaxWritesPerBlock: 100,
 	}
-	for _, nl := range []struct {
-		exp  string
-		kind LevelerKind
-	}{{"wolfram", LevelerWoLFRaM}, {"softwear", LevelerSoftWear}} {
-		nl := nl
-		t.Run(nl.exp, func(t *testing.T) {
+	for _, fig := range []curveFigure{wolfram, softwear} {
+		fig := fig
+		t.Run(fig.exp, func(t *testing.T) {
 			t.Parallel()
 			signature := func(s Scale) string {
 				col := newTestCollector()
 				s.Observe = col.observe
-				res, err := FigLeveler(s, "ocean", nl.kind, nl.exp)
+				res, err := fig.run(s, "ocean")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -419,7 +416,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 				s := scale
 				s.Workers = workers
 				if got := signature(s); got != want {
-					t.Fatalf("uninterrupted %s run differs at workers=%d", nl.exp, workers)
+					t.Fatalf("uninterrupted %s run differs at workers=%d", fig.exp, workers)
 				}
 				for _, crash := range []uint64{1, 2_000, 7_777, 15_000, 26_000} {
 					dir := t.TempDir()
@@ -429,7 +426,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 					plan := &CheckpointPlan{Dir: dir, Every: 1 << 11}
 					plan.ArmTotalCrash(crash)
 					s.Checkpoint = plan
-					if _, err := FigLeveler(s, "ocean", nl.kind, nl.exp); err != nil && !errors.Is(err, ErrCrashed) {
+					if _, err := fig.run(s, "ocean"); err != nil && !errors.Is(err, ErrCrashed) {
 						t.Fatalf("crash at %d: %v", crash, err)
 					}
 
@@ -437,7 +434,7 @@ func TestCrashResumeEquivalenceNewLevelers(t *testing.T) {
 					s.Workers = workers
 					s.Checkpoint = &CheckpointPlan{Dir: dir, Every: 1 << 11, Resume: true}
 					if got := signature(s); got != want {
-						t.Errorf("%s resumed after crash at %d (workers=%d) diverged", nl.exp, crash, workers)
+						t.Errorf("%s resumed after crash at %d (workers=%d) diverged", fig.exp, crash, workers)
 					}
 				}
 			}

@@ -11,10 +11,6 @@ import (
 	"fmt"
 
 	"wlreviver/internal/cache"
-	"wlreviver/internal/drm"
-	"wlreviver/internal/ecc"
-	"wlreviver/internal/freep"
-	"wlreviver/internal/lls"
 	"wlreviver/internal/mc"
 	"wlreviver/internal/obs"
 	"wlreviver/internal/osmodel"
@@ -23,106 +19,6 @@ import (
 	"wlreviver/internal/trace"
 	"wlreviver/internal/wear"
 )
-
-// LevelerKind selects the wear-leveling scheme.
-type LevelerKind int
-
-// Wear-leveling schemes.
-const (
-	// LevelerNone disables wear leveling (Figure 6's "ECP6"/"PAYG"
-	// baselines).
-	LevelerNone LevelerKind = iota
-	// LevelerStartGap is Start-Gap with Feistel address randomization.
-	LevelerStartGap
-	// LevelerSecurityRefresh is single- or two-level Security Refresh.
-	LevelerSecurityRefresh
-	// LevelerRegionedStartGap is the original paper's multi-region
-	// Start-Gap organisation (independent start/gap per region).
-	LevelerRegionedStartGap
-	// LevelerWoLFRaM is WoLFRaM-style programmable-address-decoder
-	// remapping (arXiv:2010.02825).
-	LevelerWoLFRaM
-	// LevelerSoftWear is SoftWear-style software-only page-granularity
-	// leveling through the OS page table (arXiv:2004.03244).
-	LevelerSoftWear
-)
-
-// String returns the scheme's display name.
-func (k LevelerKind) String() string {
-	switch k {
-	case LevelerStartGap:
-		return "SG"
-	case LevelerSecurityRefresh:
-		return "SR"
-	case LevelerRegionedStartGap:
-		return "SG-R"
-	case LevelerWoLFRaM:
-		return "WFR"
-	case LevelerSoftWear:
-		return "SW"
-	default:
-		return "none"
-	}
-}
-
-// ProtectorKind selects the failure-protection framework.
-type ProtectorKind int
-
-// Failure-protection frameworks.
-const (
-	// ProtectorNone exposes the first failure to the leveler.
-	ProtectorNone ProtectorKind = iota
-	// ProtectorWLReviver is the paper's framework.
-	ProtectorWLReviver
-	// ProtectorFREEp is the adapted FREE-p baseline (§IV-C).
-	ProtectorFREEp
-	// ProtectorLLS is the LLS baseline (§IV-D).
-	ProtectorLLS
-	// ProtectorDRM is the adapted Dynamically Replicated Memory baseline
-	// (page pairing; related work [11]).
-	ProtectorDRM
-)
-
-// String returns the framework's display name.
-func (k ProtectorKind) String() string {
-	switch k {
-	case ProtectorWLReviver:
-		return "WLR"
-	case ProtectorFREEp:
-		return "FREE-p"
-	case ProtectorLLS:
-		return "LLS"
-	case ProtectorDRM:
-		return "DRM"
-	default:
-		return "none"
-	}
-}
-
-// ECCKind selects the error-correction scheme.
-type ECCKind int
-
-// Error-correction schemes.
-const (
-	// ECCECP6 corrects up to 6 failed cells per 512-bit group.
-	ECCECP6 ECCKind = iota
-	// ECCECP1 corrects 1.
-	ECCECP1
-	// ECCPAYG is Pay-As-You-Go with the paper's default budget.
-	ECCPAYG
-)
-
-// String returns the scheme's display name.
-func (k ECCKind) String() string {
-	switch k {
-	case ECCECP1:
-		return "ECP1"
-	case ECCPAYG:
-		return "PAYG"
-	default:
-		return "ECP6"
-	}
-}
 
 // Config assembles one simulated system.
 type Config struct {
@@ -235,22 +131,13 @@ type Engine struct {
 	// recomputed bounds.
 	crip     mc.Crippler      // nil when prot cannot cripple
 	space    mc.SpaceReporter // nil when prot reports no space metric
-	llsStack bool             // crippling is terminal (Figure 8 semantics)
+	terminal bool             // crippling is terminal (Figure 8 semantics)
 	maxRetry int
 
-	// Devirtualized views of prot and lv, resolved once at construction.
-	// rev is non-nil when the protector is WL-Reviver: Write and
-	// ResumePending become direct calls. Every other protector's
-	// ResumePending is a constant 0 (nothing to resume), so the call is
-	// elided entirely. The leveler's NoteWrite dispatches through one
-	// concrete field; noteSkip marks the Static leveler's no-op.
-	rev      *reviver.Reviver
-	sgLv     *wear.StartGap
-	srLv     *wear.SecurityRefresh
-	rsgLv    *wear.RegionedStartGap
-	wfrLv    *wear.WoLFRaM
-	swLv     *wear.SoftWear
-	noteSkip bool
+	// Snapshot counter readers from the component rows; nil when the
+	// component has no such counter (lvOps also for a custom leveler).
+	lvOps  func(wear.Leveler) uint64
+	remaps func(mc.Protector) (live, spare int)
 
 	// Batched address generation: when gen has a NextBatch fast path,
 	// addresses are pulled through addrBuf in chunks, replacing one
@@ -313,115 +200,39 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 		}
 	}
 
-	// Wear-leveling scheme (LLS substitutes its restricted randomizer).
+	protRow := cfg.Protector.row()
+	if protRow == nil {
+		return nil, fmt.Errorf("sim: unknown protector %d: %w", cfg.Protector, ErrBadConfig)
+	}
+	eccRow := cfg.ECC.row()
+	if eccRow == nil {
+		return nil, fmt.Errorf("sim: unknown ECC %d: %w", cfg.ECC, ErrBadConfig)
+	}
+
 	var lv wear.Leveler
+	var lvOps func(wear.Leveler) uint64
 	if cfg.CustomLeveler != nil {
 		if cfg.CustomLeveler.NumPAs() != cfg.Blocks {
 			return nil, fmt.Errorf("sim: custom leveler covers %d PAs, system has %d blocks: %w",
 				cfg.CustomLeveler.NumPAs(), cfg.Blocks, ErrBadConfig)
 		}
 		lv = cfg.CustomLeveler
-	}
-	if lv == nil {
-		switch cfg.Leveler {
-		case LevelerStartGap:
-			sgCfg := wear.StartGapConfig{
-				NumPAs:         cfg.Blocks,
-				GapWritePeriod: cfg.GapWritePeriod,
-				Seed:           cfg.Seed,
-			}
-			if cfg.Protector == ProtectorLLS {
-				rnd, err := lls.NewRestrictedRandomizer(cfg.Blocks, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				sgCfg.Randomizer = rnd
-			}
-			sg, err := wear.NewStartGap(sgCfg)
-			if err != nil {
-				return nil, err
-			}
-			lv = sg
-		case LevelerSecurityRefresh:
-			sr, err := wear.NewSecurityRefresh(wear.SecurityRefreshConfig{
-				NumPAs:           cfg.Blocks,
-				InnerRegions:     cfg.SRInnerRegions,
-				OuterWritePeriod: cfg.GapWritePeriod,
-				InnerWritePeriod: cfg.GapWritePeriod,
-				Seed:             cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = sr
-		case LevelerRegionedStartGap:
-			regions := cfg.SGRegions
-			if regions == 0 {
-				regions = 4
-			}
-			rsg, err := wear.NewRegionedStartGap(wear.RegionedStartGapConfig{
-				NumPAs:         cfg.Blocks,
-				Regions:        regions,
-				GapWritePeriod: cfg.GapWritePeriod,
-				Seed:           cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = rsg
-		case LevelerWoLFRaM:
-			regions := cfg.WFRRegions
-			if regions == 0 {
-				regions = 4
-			}
-			wfr, err := wear.NewWoLFRaM(wear.WoLFRaMConfig{
-				NumPAs:          cfg.Blocks,
-				Regions:         regions,
-				SwapWritePeriod: cfg.GapWritePeriod,
-				Seed:            cfg.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = wfr
-		case LevelerSoftWear:
-			epoch := cfg.SWEpochWrites
-			if epoch == 0 {
-				epoch = cfg.BlocksPerPage * cfg.GapWritePeriod
-			}
-			sw, err := wear.NewSoftWear(wear.SoftWearConfig{
-				NumPAs:      cfg.Blocks,
-				PageBlocks:  cfg.BlocksPerPage,
-				EpochWrites: epoch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			lv = sw
-		case LevelerNone:
-			lv = wear.Static{Size: cfg.Blocks}
-		default:
+	} else {
+		lvRow := cfg.Leveler.row()
+		if lvRow == nil {
 			return nil, fmt.Errorf("sim: unknown leveler %d: %w", cfg.Leveler, ErrBadConfig)
 		}
-	}
-
-	// Extra device blocks beyond the leveler's DA space.
-	extra := uint64(0)
-	switch cfg.Protector {
-	case ProtectorFREEp:
-		extra = freep.ReservedSlots(cfg.Blocks, cfg.FreepReserveFraction)
-	case ProtectorDRM:
-		extra = drm.ReservedBlocks(cfg.Blocks, cfg.FreepReserveFraction, cfg.BlocksPerPage)
-	case ProtectorLLS:
-		backupFrac := cfg.LLSBackupFraction
-		if backupFrac == 0 {
-			backupFrac = 0.5
+		var err error
+		if lv, err = lvRow.build(cfg); err != nil {
+			return nil, err
 		}
-		chunkBlocks := cfg.LLSChunkPages * cfg.BlocksPerPage
-		extra = uint64(float64(cfg.Blocks) * backupFrac)
-		extra = (extra + chunkBlocks - 1) / chunkBlocks * chunkBlocks
+		lvOps = lvRow.ops
 	}
 
+	extra := uint64(0)
+	if protRow.reserved != nil {
+		extra = protRow.reserved(cfg)
+	}
 	dev, err := pcm.NewDevice(pcm.Config{
 		NumBlocks:     lv.NumDAs() + extra,
 		BlockBytes:    64,
@@ -434,18 +245,7 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var scheme ecc.Scheme
-	switch cfg.ECC {
-	case ECCECP6:
-		scheme, err = ecc.NewECP(6, dev.NumBlocks())
-	case ECCECP1:
-		scheme, err = ecc.NewECP(1, dev.NumBlocks())
-	case ECCPAYG:
-		scheme, err = ecc.NewPAYG(ecc.DefaultPAYGConfig(dev.NumBlocks()), dev.NumBlocks())
-	default:
-		err = fmt.Errorf("sim: unknown ECC %d: %w", cfg.ECC, ErrBadConfig)
-	}
+	scheme, err := eccRow.build(dev.NumBlocks())
 	if err != nil {
 		return nil, err
 	}
@@ -455,39 +255,7 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var prot mc.Protector
-	switch cfg.Protector {
-	case ProtectorNone:
-		prot = mc.NewPassthrough(lv, be, osm)
-	case ProtectorWLReviver:
-		prot, err = reviver.New(reviver.Config{
-			PointerBytes:          cfg.RevPointerBytes,
-			RemapCache:            remapCache,
-			DisableChainReduction: cfg.DisableChainReduction,
-			ImmediateAcquisition:  cfg.ImmediateAcquisition,
-			Observer:              cfg.Observer,
-		}, lv, be, osm)
-	case ProtectorFREEp:
-		prot, err = freep.New(freep.Config{
-			ReserveFraction: cfg.FreepReserveFraction,
-			RemapCache:      remapCache,
-			ZombiePairing:   cfg.FreepZombiePairing,
-		}, lv, be, osm)
-	case ProtectorLLS:
-		prot, err = lls.New(lls.Config{
-			ChunkPages:    cfg.LLSChunkPages,
-			SalvageGroups: cfg.LLSSalvageGroups,
-			RemapCache:    remapCache,
-		}, lv, be, osm)
-	case ProtectorDRM:
-		prot, err = drm.New(drm.Config{
-			ReserveFraction: cfg.FreepReserveFraction,
-			RemapCache:      remapCache,
-		}, lv, be, osm)
-	default:
-		err = fmt.Errorf("sim: unknown protector %d: %w", cfg.Protector, ErrBadConfig)
-	}
+	prot, err := protRow.build(cfg, lv, be, osm, remapCache)
 	if err != nil {
 		return nil, err
 	}
@@ -495,23 +263,10 @@ func newEngine(cfg Config, gen trace.Generator) (*Engine, error) {
 	e := &Engine{cfg: cfg, dev: dev, be: be, lv: lv, os: osm, prot: prot, gen: gen}
 	e.crip, _ = prot.(mc.Crippler)
 	e.space, _ = prot.(mc.SpaceReporter)
-	e.llsStack = cfg.Protector == ProtectorLLS
+	e.terminal = protRow.terminal
 	e.maxRetry = int(osm.NumPages()) + 2
-	e.rev, _ = prot.(*reviver.Reviver)
-	switch l := lv.(type) {
-	case *wear.StartGap:
-		e.sgLv = l
-	case *wear.SecurityRefresh:
-		e.srLv = l
-	case *wear.RegionedStartGap:
-		e.rsgLv = l
-	case *wear.WoLFRaM:
-		e.wfrLv = l
-	case *wear.SoftWear:
-		e.swLv = l
-	case wear.Static:
-		e.noteSkip = true
-	}
+	e.lvOps = lvOps
+	e.remaps = protRow.remaps
 	if bg, ok := gen.(trace.BatchGenerator); ok {
 		e.batchGen = bg
 		e.addrBuf = make([]uint64, 0, addrBatch)
@@ -570,27 +325,26 @@ func (e *Engine) emitSnapshot() {
 		AccessRatio:    e.AccessRatio(),
 		WearCoV:        e.dev.WearCoV(),
 	}
-	if e.rev != nil {
-		s.LiveRemaps = e.rev.LinkedFailures()
-		s.SparePAs = e.rev.AvailableSpares()
+	e.addCounters(&s)
+	e.observer.Snapshot(s)
+}
+
+// addCounters adds the engine's component counters — leveler operations,
+// live remaps and spare PAs, remap-cache hits and misses — to s, so the
+// sharded engine can sum them over its shards.
+func (e *Engine) addCounters(s *obs.Snapshot) {
+	if e.lvOps != nil {
+		s.LevelerOps += e.lvOps(e.lv)
 	}
-	switch {
-	case e.sgLv != nil:
-		s.LevelerOps = e.sgLv.GapMoves()
-	case e.srLv != nil:
-		s.LevelerOps = e.srLv.OuterSwaps()
-	case e.rsgLv != nil:
-		s.LevelerOps = e.rsgLv.GapMoves()
-	case e.wfrLv != nil:
-		s.LevelerOps = e.wfrLv.Swaps()
-	case e.swLv != nil:
-		s.LevelerOps = e.swLv.Relocations()
+	if e.remaps != nil {
+		live, spare := e.remaps(e.prot)
+		s.LiveRemaps += live
+		s.SparePAs += spare
 	}
 	if e.remapCache != nil {
-		s.CacheHits = e.remapCache.Hits()
-		s.CacheMisses = e.remapCache.Misses()
+		s.CacheHits += e.remapCache.Hits()
+		s.CacheMisses += e.remapCache.Misses()
 	}
-	e.observer.Snapshot(s)
 }
 
 // nextAddr returns the next workload address, refilling the prefetch
@@ -737,7 +491,10 @@ func (e *Engine) DeadFraction() float64 {
 // RequestCounts returns cumulative (software requests, raw PCM accesses)
 // where the protector tracks them, else zeros.
 func (e *Engine) RequestCounts() (requests, accesses uint64) {
-	return requestCounts(e.prot)
+	if rs, ok := e.prot.(mc.RequestStats); ok {
+		return rs.RequestCounts()
+	}
+	return 0, 0
 }
 
 // Crippled reports whether wear leveling has ceased to function.
@@ -769,29 +526,8 @@ func (e *Engine) Reviver() (*reviver.Reviver, bool) {
 // AccessRatio returns raw PCM accesses per software request where the
 // protector tracks it (Table II's access-time metric), else 0.
 func (e *Engine) AccessRatio() float64 {
-	switch p := e.prot.(type) {
-	case *reviver.Reviver:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *lls.LLS:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *freep.FREEp:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *drm.DRM:
-		st := p.Stats()
-		if n := st.SoftwareWrites + st.SoftwareReads; n > 0 {
-			return float64(st.RequestAccesses) / float64(n)
-		}
-	case *mc.Passthrough:
-		return p.RequestAccessRatio()
+	if req, acc := e.RequestCounts(); req > 0 {
+		return float64(acc) / float64(req)
 	}
 	return 0
 }
@@ -825,9 +561,7 @@ func (e *Engine) WriteTagged(vblock, tag uint64) bool {
 }
 
 // writeTagged is the write path with the stopped check hoisted into the
-// callers' loops. Protector and leveler calls go through the concrete
-// views resolved at construction, so the steady state carries no dynamic
-// dispatch.
+// callers' loops.
 func (e *Engine) writeTagged(vblock, tag uint64) bool {
 	var pa uint64
 	for attempt := 0; ; attempt++ {
@@ -841,40 +575,15 @@ func (e *Engine) writeTagged(vblock, tag uint64) bool {
 			e.stopped = true
 			return false
 		}
-		var retry bool
-		if e.rev != nil {
-			retry = e.rev.Write(pa, tag).Retry
-		} else {
-			retry = e.prot.Write(pa, tag).Retry
-		}
-		if !retry {
+		if !e.prot.Write(pa, tag).Retry {
 			break
 		}
 	}
 	e.writes++
-	if e.rev != nil {
-		// Only WL-Reviver can suspend work; the other protectors'
-		// ResumePending is a constant 0 and is skipped entirely.
-		e.rev.ResumePending()
-	}
+	e.prot.ResumePending()
 	if e.crip == nil || !e.crip.Crippled() {
-		switch {
-		case e.sgLv != nil:
-			e.sgLv.NoteWrite(pa, e.prot)
-		case e.srLv != nil:
-			e.srLv.NoteWrite(pa, e.prot)
-		case e.rsgLv != nil:
-			e.rsgLv.NoteWrite(pa, e.prot)
-		case e.wfrLv != nil:
-			e.wfrLv.NoteWrite(pa, e.prot)
-		case e.swLv != nil:
-			e.swLv.NoteWrite(pa, e.prot)
-		case e.noteSkip:
-			// Static leveler: NoteWrite is a no-op.
-		default:
-			e.lv.NoteWrite(pa, e.prot)
-		}
-	} else if e.llsStack {
+		e.lv.NoteWrite(pa, e.prot)
+	} else if e.terminal {
 		e.stopped = true
 	}
 	if e.snapEvery != 0 && e.writes >= e.nextSnap {

@@ -5,12 +5,7 @@ import (
 	"strings"
 
 	"wlreviver/internal/ckpt"
-	"wlreviver/internal/drm"
-	"wlreviver/internal/freep"
-	"wlreviver/internal/lls"
-	"wlreviver/internal/mc"
 	"wlreviver/internal/obs"
-	"wlreviver/internal/reviver"
 	"wlreviver/internal/stats"
 	"wlreviver/internal/trace"
 )
@@ -255,26 +250,6 @@ func runCurve(e Machine, d *ckptDriver, name string, metric func(Machine) float6
 	return curve, nil
 }
 
-// curveJob wraps one machine build + runCurve drive as a runner job. key
-// is the job's stable qualified identity (observer and checkpoint key);
-// name labels the resulting curve.
-func curveJob(s Scale, key, name string, build func() (Machine, error), metric func(Machine) float64, floor float64, maxWrites uint64) Job[stats.Curve] {
-	return Job[stats.Curve]{
-		Name: name,
-		Run: func() (stats.Curve, uint64, error) {
-			e, err := build()
-			if err != nil {
-				return stats.Curve{}, 0, err
-			}
-			c, err := runCurve(e, s.Checkpoint.driver(key), name, metric, floor, maxWrites, s.batch())
-			if err != nil {
-				return stats.Curve{}, 0, err
-			}
-			return c, e.Writes(), nil
-		},
-	}
-}
-
 // survival reads the survival-rate metric.
 func survival(e Machine) float64 { return e.SurvivalRate() }
 
@@ -431,173 +406,11 @@ func (r *Fig5Result) String() string {
 	return b.String()
 }
 
-// ---- Figure 6 ----------------------------------------------------------------
+// ---- Curve figures (6, 7, 8 and the new-leveler ladders) -------------------
 
-// Fig6Result reproduces Figure 6: survival-rate curves for one benchmark
-// under six configurations.
-type Fig6Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
-}
-
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig6Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig6 produces capacity-survival curves (down to 70%) for ECP6/PAYG,
-// each bare, with Start-Gap, and with Start-Gap + WL-Reviver — one job
-// per configuration. The paper plots block survival; with the OS
-// retirement cascade modelled, the equivalent decay is expressed in
-// usable capacity (EXPERIMENTS.md discusses the correspondence).
-func Fig6(s Scale, workload string) (*Fig6Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
-	type variant struct {
-		name  string
-		ecc   ECCKind
-		level LevelerKind
-		prot  ProtectorKind
-	}
-	variants := []variant{
-		{"ECP6", ECCECP6, LevelerNone, ProtectorNone},
-		{"PAYG", ECCPAYG, LevelerNone, ProtectorNone},
-		{"ECP6-SG", ECCECP6, LevelerStartGap, ProtectorNone},
-		{"PAYG-SG", ECCPAYG, LevelerStartGap, ProtectorNone},
-		{"ECP6-SG-WLR", ECCECP6, LevelerStartGap, ProtectorWLReviver},
-		{"PAYG-SG-WLR", ECCPAYG, LevelerStartGap, ProtectorWLReviver},
-	}
-	jobs := make([]Job[stats.Curve], 0, len(variants))
-	for _, v := range variants {
-		// Curve names repeat across figures, so the observer/checkpoint
-		// key is qualified with the experiment and workload.
-		key := "fig6/" + workload + "/" + v.name
-		jobs = append(jobs, curveJob(s, key, v.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.ECC = v.ecc
-			cfg.Leveler = v.level
-			cfg.Protector = v.prot
-			return s.newMachine(cfg, workload)
-		}, usable, 0.70, s.maxWrites()))
-	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig6Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
-}
-
-// String formats the curves as a column table sampled at common points.
-func (r *Fig6Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 6 — surviving capacity vs writes/block (%s)", r.Workload), r.Curves)
-}
-
-// ---- Figure 7 ----------------------------------------------------------------
-
-// Fig7Result reproduces Figure 7: user-usable space curves for
-// WL-Reviver vs FREE-p with 0/5/10/15% pre-reservation.
-type Fig7Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
-}
-
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig7Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig7 produces the usable-space comparison under ECP6 + Start-Gap, one
-// job per protection arm.
-func Fig7(s Scale, workload string) (*Fig7Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
-	arms := []struct {
-		name    string
-		prot    ProtectorKind
-		reserve float64
-	}{{"WL-Reviver", ProtectorWLReviver, 0}}
-	for _, pct := range []float64{0, 0.05, 0.10, 0.15} {
-		arms = append(arms, struct {
-			name    string
-			prot    ProtectorKind
-			reserve float64
-		}{fmt.Sprintf("FREE-p(%.0f%%)", pct*100), ProtectorFREEp, pct})
-	}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := "fig7/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Protector = a.prot
-			cfg.FreepReserveFraction = a.reserve
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
-	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
-}
-
-// String formats the curves.
-func (r *Fig7Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 7 — user-usable space vs writes/block (%s), ECP6+SG", r.Workload), r.Curves)
-}
-
-// ---- Figure 8 ----------------------------------------------------------------
-
-// Fig8Result reproduces Figure 8: software-usable space, WL-Reviver vs
-// LLS.
-type Fig8Result struct {
-	Workload string
-	Curves   []stats.Curve
-	// SimWrites is the total simulated writes across all runs.
-	SimWrites uint64
-}
-
-// TotalWrites reports the experiment's simulated write volume.
-func (r *Fig8Result) TotalWrites() uint64 { return r.SimWrites }
-
-// Fig8 produces the WLR-vs-LLS usable-space comparison, one job per
-// scheme.
-func Fig8(s Scale, workload string) (*Fig8Result, error) {
-	if err := validateWorkload(workload); err != nil {
-		return nil, err
-	}
-	arms := []struct {
-		name string
-		prot ProtectorKind
-	}{{"WL-Reviver", ProtectorWLReviver}, {"LLS", ProtectorLLS}}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := "fig8/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Protector = a.prot
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
-	}
-	curves, writes, err := CollectJobs(jobs, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig8Result{Workload: workload, Curves: curves, SimWrites: writes}, nil
-}
-
-// String formats the curves.
-func (r *Fig8Result) String() string {
-	return formatCurves(fmt.Sprintf("Figure 8 — software-usable space vs writes/block (%s), ECP6+SG", r.Workload), r.Curves)
-}
-
-// ---- New-leveler figures -----------------------------------------------------
-
-// FigLevelerResult reports one related-work leveler's protection ladder:
-// software-usable space curves for the leveler bare, +FREE-p, +LLS and
-// +WL-Reviver (the "any wear-leveling technique" generality check).
-type FigLevelerResult struct {
+// CurveResult is one curve figure's result on one workload: a
+// usable-space curve per arm.
+type CurveResult struct {
 	Workload string
 	Curves   []stats.Curve
 	// SimWrites is the total simulated writes across all runs.
@@ -607,48 +420,153 @@ type FigLevelerResult struct {
 }
 
 // TotalWrites reports the experiment's simulated write volume.
-func (r *FigLevelerResult) TotalWrites() uint64 { return r.SimWrites }
+func (r *CurveResult) TotalWrites() uint64 { return r.SimWrites }
 
-// FigLeveler runs one leveler through the Fig. 7/8 protection ladder —
-// bare vs FREE-p(10%) vs LLS vs WL-Reviver under ECP6 — one job per arm.
-// expName qualifies the observer/checkpoint keys ("wolfram", "softwear").
-func FigLeveler(s Scale, workload string, kind LevelerKind, expName string) (*FigLevelerResult, error) {
+// String formats the curves as a column table sampled at common points.
+func (r *CurveResult) String() string { return formatCurves(r.title, r.Curves) }
+
+// CurveData exposes the plottable series for CSV export.
+func (r *CurveResult) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
+
+// curveFigure declares one curve experiment as data: its arms, each a
+// DeviceStack named by its curve label, feed both the figure's jobs and
+// DeviceStacks. Every run tracks usable space down to floor.
+type curveFigure struct {
+	exp   string
+	doc   string
+	title string // format; %s is the workload
+	floor float64
+	arms  []DeviceStack
+}
+
+// fig6 compares ECP6/PAYG, each bare, with Start-Gap, and with
+// Start-Gap + WL-Reviver. The paper plots block survival; with the OS
+// retirement cascade modelled, the equivalent decay is expressed in
+// usable capacity (EXPERIMENTS.md discusses the correspondence).
+var fig6 = curveFigure{
+	exp:   "fig6",
+	doc:   "capacity-survival curves under six ECC/leveler stacks",
+	title: "Figure 6 — surviving capacity vs writes/block (%s)",
+	floor: 0.70,
+	arms: []DeviceStack{
+		{Name: "ECP6", ECC: ECCECP6, Leveler: LevelerNone, Protector: ProtectorNone},
+		{Name: "PAYG", ECC: ECCPAYG, Leveler: LevelerNone, Protector: ProtectorNone},
+		{Name: "ECP6-SG", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorNone},
+		{Name: "PAYG-SG", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorNone},
+		{Name: "ECP6-SG-WLR", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
+		{Name: "PAYG-SG-WLR", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
+	},
+}
+
+// fig7 compares WL-Reviver with FREE-p at 0/5/10/15% pre-reservation
+// under ECP6 + Start-Gap.
+var fig7 = curveFigure{
+	exp:   "fig7",
+	doc:   "user-usable space, WL-Reviver vs FREE-p reservations",
+	title: "Figure 7 — user-usable space vs writes/block (%s), ECP6+SG",
+	floor: 0.50,
+	arms: []DeviceStack{
+		{Name: "WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
+		{Name: "FREE-p(0%)", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp, FreepReserveFraction: 0},
+		{Name: "FREE-p(5%)", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp, FreepReserveFraction: 0.05},
+		{Name: "FREE-p(10%)", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp, FreepReserveFraction: 0.10},
+		{Name: "FREE-p(15%)", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp, FreepReserveFraction: 0.15},
+	},
+}
+
+// fig8 compares WL-Reviver with LLS under ECP6 + Start-Gap.
+var fig8 = curveFigure{
+	exp:   "fig8",
+	doc:   "software-usable space, WL-Reviver vs LLS",
+	title: "Figure 8 — software-usable space vs writes/block (%s), ECP6+SG",
+	floor: 0.50,
+	arms: []DeviceStack{
+		{Name: "WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
+		{Name: "LLS", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorLLS},
+	},
+}
+
+// levelerLadder declares a related-work leveler's run through the Fig. 7/8
+// protection ladder — bare vs FREE-p(10%) vs LLS vs WL-Reviver under
+// ECP6 (the "any wear-leveling technique" generality check).
+func levelerLadder(exp, doc string, kind LevelerKind) curveFigure {
+	lv := kind.String()
+	return curveFigure{
+		exp:   exp,
+		doc:   doc,
+		title: exp + " — software-usable space vs writes/block (%s), ECP6",
+		floor: 0.50,
+		arms: []DeviceStack{
+			{Name: lv, ECC: ECCECP6, Leveler: kind, Protector: ProtectorNone},
+			{Name: lv + "-FREE-p(10%)", ECC: ECCECP6, Leveler: kind, Protector: ProtectorFREEp, FreepReserveFraction: 0.10},
+			{Name: lv + "-LLS", ECC: ECCECP6, Leveler: kind, Protector: ProtectorLLS},
+			{Name: lv + "-WLR", ECC: ECCECP6, Leveler: kind, Protector: ProtectorWLReviver},
+		},
+	}
+}
+
+var (
+	wolfram  = levelerLadder("wolfram", "WoLFRaM decoder remapping: bare vs FREE-p vs LLS vs WL-Reviver", LevelerWoLFRaM)
+	softwear = levelerLadder("softwear", "SoftWear OS-level page leveling: bare vs FREE-p vs LLS vs WL-Reviver", LevelerSoftWear)
+)
+
+// curveFigures lists the curve experiments in registry order.
+func curveFigures() []curveFigure { return []curveFigure{fig6, fig7, fig8, wolfram, softwear} }
+
+// run produces the figure's curves on one workload, one job per arm.
+// Curve names repeat across figures, so each observer/checkpoint key is
+// qualified with the experiment and workload.
+func (f curveFigure) run(s Scale, workload string) (*CurveResult, error) {
 	if err := validateWorkload(workload); err != nil {
 		return nil, err
 	}
-	arms := []struct {
-		name    string
-		prot    ProtectorKind
-		reserve float64
-	}{
-		{kind.String(), ProtectorNone, 0},
-		{kind.String() + "-FREE-p(10%)", ProtectorFREEp, 0.10},
-		{kind.String() + "-LLS", ProtectorLLS, 0},
-		{kind.String() + "-WLR", ProtectorWLReviver, 0},
-	}
-	jobs := make([]Job[stats.Curve], 0, len(arms))
-	for _, a := range arms {
-		key := expName + "/" + workload + "/" + a.name
-		jobs = append(jobs, curveJob(s, key, a.name, func() (Machine, error) {
-			cfg := s.engineConfig(key)
-			cfg.Leveler = kind
-			cfg.Protector = a.prot
-			cfg.FreepReserveFraction = a.reserve
-			return s.newMachine(cfg, workload)
-		}, usable, 0.50, s.maxWrites()))
+	jobs := make([]Job[stats.Curve], 0, len(f.arms))
+	for _, arm := range f.arms {
+		key := f.exp + "/" + workload + "/" + arm.Name
+		jobs = append(jobs, Job[stats.Curve]{
+			Name: arm.Name,
+			Run: func() (stats.Curve, uint64, error) {
+				cfg := s.engineConfig(key)
+				arm.Apply(&cfg)
+				e, err := s.newMachine(cfg, workload)
+				if err != nil {
+					return stats.Curve{}, 0, err
+				}
+				c, err := runCurve(e, s.Checkpoint.driver(key), arm.Name, usable, f.floor, s.maxWrites(), s.batch())
+				if err != nil {
+					return stats.Curve{}, 0, err
+				}
+				return c, e.Writes(), nil
+			},
+		})
 	}
 	curves, writes, err := CollectJobs(jobs, s.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &FigLevelerResult{
+	return &CurveResult{
 		Workload: workload, Curves: curves, SimWrites: writes,
-		title: fmt.Sprintf("%s — software-usable space vs writes/block (%s), ECP6", expName, workload),
+		title: fmt.Sprintf(f.title, workload),
 	}, nil
 }
 
-// String formats the curves.
-func (r *FigLevelerResult) String() string { return formatCurves(r.title, r.Curves) }
+// experiment registers the figure over the reference workloads.
+func (f curveFigure) experiment() Experiment {
+	return Experiment{
+		Name: f.exp,
+		Doc:  f.doc,
+		Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, f.run) },
+	}
+}
+
+// Fig6 produces Figure 6's capacity-survival curves (down to 70%).
+func Fig6(s Scale, workload string) (*CurveResult, error) { return fig6.run(s, workload) }
+
+// Fig7 produces Figure 7's usable-space comparison.
+func Fig7(s Scale, workload string) (*CurveResult, error) { return fig7.run(s, workload) }
+
+// Fig8 produces Figure 8's WLR-vs-LLS usable-space comparison.
+func Fig8(s Scale, workload string) (*CurveResult, error) { return fig8.run(s, workload) }
 
 // ---- Table II ----------------------------------------------------------------
 
@@ -677,27 +595,6 @@ type Table2Result struct {
 
 // TotalWrites reports the experiment's simulated write volume.
 func (r *Table2Result) TotalWrites() uint64 { return r.SimWrites }
-
-// requestCounts pulls cumulative (requests, accesses) from a protector.
-func requestCounts(p mc.Protector) (uint64, uint64) {
-	switch t := p.(type) {
-	case *reviver.Reviver:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *lls.LLS:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *freep.FREEp:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *drm.DRM:
-		st := t.Stats()
-		return st.SoftwareWrites + st.SoftwareReads, st.RequestAccesses
-	case *mc.Passthrough:
-		return t.RequestCounts()
-	}
-	return 0, 0
-}
 
 // table2Harness is the table2Run driver-state stored alongside the
 // engine in each checkpoint: cells produced so far, the access-time
@@ -905,15 +802,3 @@ func formatCurves(title string, curves []stats.Curve) string {
 	}
 	return b.String()
 }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig6Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig7Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *Fig8Result) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }
-
-// CurveData exposes the plottable series for CSV export.
-func (r *FigLevelerResult) CurveData() (string, []stats.Curve) { return r.Workload, r.Curves }

@@ -146,8 +146,8 @@ func TestStepRunNInterleavingCoherent(t *testing.T) {
 }
 
 // BenchmarkEngineRunNFastPath measures the full optimized write loop —
-// batched addresses, memoized randomization, horizon fast path,
-// devirtualized dispatch — on the healthy steady state.
+// batched addresses, memoized randomization, horizon fast path — on the
+// healthy steady state.
 func BenchmarkEngineRunNFastPath(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.MeanEndurance = 1e12 // stay in the failure-free regime

@@ -16,13 +16,15 @@ import (
 
 // levelerKindsUnderTest is every registered leveler with a mapping
 // (LevelerNone is the no-op baseline the others are measured against).
-var levelerKindsUnderTest = []LevelerKind{
-	LevelerStartGap,
-	LevelerSecurityRefresh,
-	LevelerRegionedStartGap,
-	LevelerWoLFRaM,
-	LevelerSoftWear,
-}
+var levelerKindsUnderTest = func() []LevelerKind {
+	var kinds []LevelerKind
+	for k := range levelers {
+		if LevelerKind(k) != LevelerNone {
+			kinds = append(kinds, LevelerKind(k))
+		}
+	}
+	return kinds
+}()
 
 // levelerTestConfig is the failure-dense checkpoint geometry with
 // content tracking on, so revives must preserve data, not just space.
@@ -170,19 +172,7 @@ func TestLevelerKindsSurviveFailures(t *testing.T) {
 			if u := e.UsableFraction(); u <= 0 || u > 1 {
 				t.Fatalf("usable fraction %v out of range after failures", u)
 			}
-			var ops uint64
-			switch {
-			case e.sgLv != nil:
-				ops = e.sgLv.GapMoves()
-			case e.srLv != nil:
-				ops = e.srLv.OuterSwaps()
-			case e.rsgLv != nil:
-				ops = e.rsgLv.GapMoves()
-			case e.wfrLv != nil:
-				ops = e.wfrLv.Swaps()
-			case e.swLv != nil:
-				ops = e.swLv.Relocations()
-			}
+			ops := e.lvOps(e.lv)
 			if ops == 0 {
 				t.Fatalf("%s performed zero leveling operations over %d writes", kind, e.Writes())
 			}

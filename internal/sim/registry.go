@@ -35,21 +35,9 @@ func Experiments() []Experiment {
 			Doc:  "lifetime to 30% capacity loss per benchmark, ±WL-Reviver",
 			Run:  func(s Scale) (fmt.Stringer, error) { return Fig5(s) },
 		},
-		{
-			Name: "fig6",
-			Doc:  "capacity-survival curves under six ECC/leveler stacks",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig6) },
-		},
-		{
-			Name: "fig7",
-			Doc:  "user-usable space, WL-Reviver vs FREE-p reservations",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig7) },
-		},
-		{
-			Name: "fig8",
-			Doc:  "software-usable space, WL-Reviver vs LLS",
-			Run:  func(s Scale) (fmt.Stringer, error) { return bothWorkloads(s, Fig8) },
-		},
+		fig6.experiment(),
+		fig7.experiment(),
+		fig8.experiment(),
 		{
 			Name: "table2",
 			Doc:  "access time and usable space at 10/20/30% failed blocks",
@@ -57,24 +45,8 @@ func Experiments() []Experiment {
 				return Table2(s, []string{"mg", "ocean"})
 			},
 		},
-		{
-			Name: "wolfram",
-			Doc:  "WoLFRaM decoder remapping: bare vs FREE-p vs LLS vs WL-Reviver",
-			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, func(s Scale, w string) (*FigLevelerResult, error) {
-					return FigLeveler(s, w, LevelerWoLFRaM, "wolfram")
-				})
-			},
-		},
-		{
-			Name: "softwear",
-			Doc:  "SoftWear OS-level page leveling: bare vs FREE-p vs LLS vs WL-Reviver",
-			Run: func(s Scale) (fmt.Stringer, error) {
-				return bothWorkloads(s, func(s Scale, w string) (*FigLevelerResult, error) {
-					return FigLeveler(s, w, LevelerSoftWear, "softwear")
-				})
-			},
-		},
+		wolfram.experiment(),
+		softwear.experiment(),
 		{
 			Name: "attacks",
 			Doc:  "hammering and birthday-paradox attack costs, ±WL-Reviver",
@@ -122,43 +94,25 @@ type DeviceStack struct {
 	FreepReserveFraction float64
 }
 
-// DeviceStacks returns the named stacks in registry order: Figure 6's
-// six ECC/leveler arms, Figure 7's protection ladder and Figure 8's
-// WLR-vs-LLS pair — every per-engine configuration the paper's
-// per-workload figures sweep.
+// Apply selects the stack's components in cfg.
+func (st DeviceStack) Apply(cfg *Config) {
+	cfg.ECC = st.ECC
+	cfg.Leveler = st.Leveler
+	cfg.Protector = st.Protector
+	cfg.FreepReserveFraction = st.FreepReserveFraction
+}
+
+// DeviceStacks returns the named stacks in registry order: every arm of
+// the curve experiments (Figure 6's six ECC/leveler stacks, Figure 7's
+// protection ladder, Figure 8's WLR-vs-LLS pair and the new-leveler
+// ladders), named "<experiment>/<arm>".
 func DeviceStacks() []DeviceStack {
-	stacks := []DeviceStack{
-		{Name: "fig6/ECP6", ECC: ECCECP6, Leveler: LevelerNone, Protector: ProtectorNone},
-		{Name: "fig6/PAYG", ECC: ECCPAYG, Leveler: LevelerNone, Protector: ProtectorNone},
-		{Name: "fig6/ECP6-SG", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorNone},
-		{Name: "fig6/PAYG-SG", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorNone},
-		{Name: "fig6/ECP6-SG-WLR", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		{Name: "fig6/PAYG-SG-WLR", ECC: ECCPAYG, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		{Name: "fig7/WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-	}
-	for _, pct := range []float64{0, 0.05, 0.10, 0.15} {
-		stacks = append(stacks, DeviceStack{
-			Name: fmt.Sprintf("fig7/FREE-p(%.0f%%)", pct*100),
-			ECC:  ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorFREEp,
-			FreepReserveFraction: pct,
-		})
-	}
-	stacks = append(stacks,
-		DeviceStack{Name: "fig8/WL-Reviver", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorWLReviver},
-		DeviceStack{Name: "fig8/LLS", ECC: ECCECP6, Leveler: LevelerStartGap, Protector: ProtectorLLS},
-	)
-	// The new-leveler experiments' protection ladders (wolfram, softwear).
-	for _, nl := range []struct {
-		exp string
-		lv  LevelerKind
-	}{{"wolfram", LevelerWoLFRaM}, {"softwear", LevelerSoftWear}} {
-		exp, lv := nl.exp, nl.lv
-		stacks = append(stacks,
-			DeviceStack{Name: exp + "/" + lv.String(), ECC: ECCECP6, Leveler: lv, Protector: ProtectorNone},
-			DeviceStack{Name: exp + "/" + lv.String() + "-FREE-p(10%)", ECC: ECCECP6, Leveler: lv, Protector: ProtectorFREEp, FreepReserveFraction: 0.10},
-			DeviceStack{Name: exp + "/" + lv.String() + "-LLS", ECC: ECCECP6, Leveler: lv, Protector: ProtectorLLS},
-			DeviceStack{Name: exp + "/" + lv.String() + "-WLR", ECC: ECCECP6, Leveler: lv, Protector: ProtectorWLReviver},
-		)
+	var stacks []DeviceStack
+	for _, f := range curveFigures() {
+		for _, arm := range f.arms {
+			arm.Name = f.exp + "/" + arm.Name
+			stacks = append(stacks, arm)
+		}
 	}
 	return stacks
 }

@@ -192,16 +192,11 @@ func NewShardedEngine(sc ShardedConfig, cfg Config, newGen func(shard uint64, sh
 	}
 	se.devStride = se.shards[0].dev.NumBlocks()
 	se.pageStride = shardBlocks / cfg.BlocksPerPage
-	switch {
-	case cfg.Leveler == LevelerRegionedStartGap && cfg.CustomLeveler == nil:
-		regions := cfg.SGRegions
-		if regions == 0 {
-			regions = 4
-		}
-		se.regStride = int(regions)
-	default:
-		// Start-Gap and Security Refresh report region 0 / raw DAs.
-		se.regStride = 1
+	// Levelers with regions (Regioned Start-Gap) number their GapMoved
+	// events per region; the rest report region 0.
+	se.regStride = 1
+	if r, ok := se.shards[0].lv.(interface{ Regions() int }); ok {
+		se.regStride = r.Regions()
 	}
 	return se, nil
 }
@@ -452,26 +447,7 @@ func (se *ShardedEngine) snapshotSample() obs.Snapshot {
 	for _, e := range se.shards {
 		s.DeadBlocks += e.dev.DeadBlocks()
 		s.RetiredPages += e.os.RetiredPages()
-		if e.rev != nil {
-			s.LiveRemaps += e.rev.LinkedFailures()
-			s.SparePAs += e.rev.AvailableSpares()
-		}
-		switch {
-		case e.sgLv != nil:
-			s.LevelerOps += e.sgLv.GapMoves()
-		case e.srLv != nil:
-			s.LevelerOps += e.srLv.OuterSwaps()
-		case e.rsgLv != nil:
-			s.LevelerOps += e.rsgLv.GapMoves()
-		case e.wfrLv != nil:
-			s.LevelerOps += e.wfrLv.Swaps()
-		case e.swLv != nil:
-			s.LevelerOps += e.swLv.Relocations()
-		}
-		if e.remapCache != nil {
-			s.CacheHits += e.remapCache.Hits()
-			s.CacheMisses += e.remapCache.Misses()
-		}
+		e.addCounters(&s)
 		wear.Merge(e.dev.WearMoments())
 	}
 	if req, acc := se.RequestCounts(); req > 0 {

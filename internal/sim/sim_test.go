@@ -37,44 +37,57 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestKindStrings walks the registration tables. Display names and kind
+// values are pinned (checkpoints store the values, stack and curve names
+// embed the names), and every registered name parses back to its kind.
+func TestKindStrings(t *testing.T) {
+	var names []string
+	for k := range levelers {
+		kind := LevelerKind(k)
+		names = append(names, kind.String())
+		if got, err := ParseLevelerKind(kind.String()); err != nil || got != kind {
+			t.Errorf("ParseLevelerKind(%q) = %v, %v; want %d", kind, got, err, k)
+		}
+	}
+	for k := range protectors {
+		kind := ProtectorKind(k)
+		names = append(names, kind.String())
+		if got, err := ParseProtectorKind(kind.String()); err != nil || got != kind {
+			t.Errorf("ParseProtectorKind(%q) = %v, %v; want %d", kind, got, err, k)
+		}
+	}
+	for k := range eccs {
+		kind := ECCKind(k)
+		names = append(names, kind.String())
+		if got, err := ParseECCKind(kind.String()); err != nil || got != kind {
+			t.Errorf("ParseECCKind(%q) = %v, %v; want %d", kind, got, err, k)
+		}
+	}
+	const want = "none SG SR SG-R WFR SW none WLR FREE-p LLS DRM ECP6 ECP1 PAYG"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("registered names in kind order:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestEngineVariantsConstruct crosses every registered leveler, protector
+// and ECC row: each combination constructs and runs 500 writes on a fresh
+// chip.
 func TestEngineVariantsConstruct(t *testing.T) {
-	for _, lv := range []LevelerKind{LevelerNone, LevelerStartGap, LevelerSecurityRefresh, LevelerRegionedStartGap} {
-		for _, prot := range []ProtectorKind{ProtectorNone, ProtectorWLReviver, ProtectorFREEp, ProtectorLLS, ProtectorDRM} {
-			for _, e := range []ECCKind{ECCECP6, ECCECP1, ECCPAYG} {
-				lv, prot, e := lv, prot, e
+	for lv := range levelers {
+		for prot := range protectors {
+			for ecc := range eccs {
 				eng := tinyEngine(t, func(c *Config) {
-					c.Leveler = lv
-					c.Protector = prot
-					c.ECC = e
+					c.Leveler = LevelerKind(lv)
+					c.Protector = ProtectorKind(prot)
+					c.ECC = ECCKind(ecc)
 					c.FreepReserveFraction = 0.05
 					c.CacheKB = 4
 				})
 				if eng.Run(500, nil) != 500 {
-					t.Errorf("leveler=%v prot=%v ecc=%v: fresh system could not run 500 writes", lv, prot, e)
+					t.Errorf("leveler=%v prot=%v ecc=%v: fresh system could not run 500 writes",
+						LevelerKind(lv), ProtectorKind(prot), ECCKind(ecc))
 				}
 			}
-		}
-	}
-}
-
-func TestKindStrings(t *testing.T) {
-	cases := map[string]string{
-		LevelerStartGap.String():         "SG",
-		LevelerSecurityRefresh.String():  "SR",
-		LevelerRegionedStartGap.String(): "SG-R",
-		LevelerNone.String():             "none",
-		ProtectorWLReviver.String():      "WLR",
-		ProtectorFREEp.String():          "FREE-p",
-		ProtectorLLS.String():            "LLS",
-		ProtectorDRM.String():            "DRM",
-		ProtectorNone.String():           "none",
-		ECCECP6.String():                 "ECP6",
-		ECCECP1.String():                 "ECP1",
-		ECCPAYG.String():                 "PAYG",
-	}
-	for got, want := range cases {
-		if got != want {
-			t.Errorf("String() = %q, want %q", got, want)
 		}
 	}
 }

@@ -150,6 +150,10 @@ func (s *RegionedStartGap) NoteWrite(pa uint64, mover Mover) {
 	})
 }
 
+// Regions returns the region count (GapMoved events' region index
+// range).
+func (s *RegionedStartGap) Regions() int { return len(s.regions) }
+
 // GapMoves returns the total gap movements across regions.
 func (s *RegionedStartGap) GapMoves() uint64 {
 	var total uint64

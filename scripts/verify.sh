@@ -53,4 +53,11 @@ go tool cover -html=coverage.out -o coverage.html
 echo "== go test -race ./..."
 go test -race ./...
 
+# _wlbench/ is the benchmark: a nested module (so ./... above skips it)
+# that imports internal/sim's Engine, Config and kind constants and
+# re-drives the engine's write path (TestLayeredMatchesRunN). Vet and
+# test it here so a refactor that breaks it fails this gate by name.
+echo "== (cd _wlbench && go vet ./... && go test ./...)"
+(cd _wlbench && go vet ./... && go test ./...)
+
 echo "verify: all checks passed"

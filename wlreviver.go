@@ -69,6 +69,8 @@ const (
 	LevelerStartGap         = sim.LevelerStartGap
 	LevelerSecurityRefresh  = sim.LevelerSecurityRefresh
 	LevelerRegionedStartGap = sim.LevelerRegionedStartGap
+	LevelerWoLFRaM          = sim.LevelerWoLFRaM
+	LevelerSoftWear         = sim.LevelerSoftWear
 
 	ProtectorNone      = sim.ProtectorNone
 	ProtectorWLReviver = sim.ProtectorWLReviver
@@ -115,12 +117,9 @@ type (
 	Table1Result = sim.Table1Result
 	// Fig5Result reproduces Figure 5.
 	Fig5Result = sim.Fig5Result
-	// Fig6Result reproduces Figure 6.
-	Fig6Result = sim.Fig6Result
-	// Fig7Result reproduces Figure 7.
-	Fig7Result = sim.Fig7Result
-	// Fig8Result reproduces Figure 8.
-	Fig8Result = sim.Fig8Result
+	// CurveResult is a curve figure's result on one workload (Figures
+	// 6–8 and the new-leveler ladders).
+	CurveResult = sim.CurveResult
 	// Table2Result reproduces Table II.
 	Table2Result = sim.Table2Result
 	// AttacksResult measures malicious wear-out resistance (§IV-B).
@@ -180,13 +179,13 @@ func Fig5(s Scale) (*Fig5Result, error) { return runRegistered[*Fig5Result]("fig
 // Fig6 regenerates Figure 6 (capacity-survival curves) for a benchmark.
 // The registry's "fig6" entry fixes the paper's reference workloads; this
 // parameterised form accepts any Table I benchmark name.
-func Fig6(s Scale, workload string) (*Fig6Result, error) { return sim.Fig6(s, workload) }
+func Fig6(s Scale, workload string) (*CurveResult, error) { return sim.Fig6(s, workload) }
 
 // Fig7 regenerates Figure 7 (WLR vs FREE-p reservations) for a benchmark.
-func Fig7(s Scale, workload string) (*Fig7Result, error) { return sim.Fig7(s, workload) }
+func Fig7(s Scale, workload string) (*CurveResult, error) { return sim.Fig7(s, workload) }
 
 // Fig8 regenerates Figure 8 (WLR vs LLS usable space) for a benchmark.
-func Fig8(s Scale, workload string) (*Fig8Result, error) { return sim.Fig8(s, workload) }
+func Fig8(s Scale, workload string) (*CurveResult, error) { return sim.Fig8(s, workload) }
 
 // Table2 regenerates Table II (access time and usable space vs failure
 // ratio, LLS vs WLR) for the given benchmark workloads.
